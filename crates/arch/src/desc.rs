@@ -21,6 +21,13 @@
 //! `PAPI_FP_INS` (the paper's validation metric) and the
 //! `fpi / fp_movement` ratio is the instruction-based arithmetic intensity
 //! of §IV-D2.
+//!
+//! A file that declares no `[metric …]` section at all inherits every
+//! group of [`DEFAULT_DESCRIPTION`]; a file that declares any group gets
+//! exactly the groups it declares. Without the inheritance a
+//! machine-only file would have an empty `fpi` group, its FPI count
+//! would be 0, and every kernel with FLOPs would look vectorized — scalar
+//! code priced on the vector peak.
 
 use crate::Category;
 use std::collections::BTreeMap;
@@ -488,6 +495,10 @@ impl ArchDescription {
                 },
             }
         }
+        if metrics.is_empty() {
+            // DEFAULT_DESCRIPTION declares groups, so this cannot recurse
+            metrics = ArchDescription::default().metrics;
+        }
         Ok(ArchDescription { machine, metrics })
     }
 
@@ -496,7 +507,9 @@ impl ArchDescription {
         self.metrics.get(name).map(|v| v.as_slice())
     }
 
-    /// The `fpi` metric group (guaranteed present in the default file).
+    /// The `fpi` metric group (present in the default file, and so in
+    /// every file that declares no metric group). Empty when a file
+    /// declares groups but not `fpi`.
     pub fn fpi(&self) -> &[Category] {
         self.metric("fpi").unwrap_or(&[])
     }
@@ -590,6 +603,19 @@ mod tests {
             &[Category::IntArith, Category::Fma]
         );
         assert_eq!(d.metric("nope"), None);
+    }
+
+    #[test]
+    fn metricless_file_inherits_the_default_groups() {
+        let d = ArchDescription::parse("[machine]\nname = bare\n").unwrap();
+        let default = ArchDescription::default();
+        assert_eq!(d.machine.name, "bare");
+        assert_eq!(d.metric_names(), default.metric_names());
+        assert_eq!(d.fpi(), default.fpi());
+        // declaring any group opts out of the inheritance
+        let own = ArchDescription::parse("[metric mine]\ncategories = fma\n").unwrap();
+        assert_eq!(own.metric_names(), ["mine"]);
+        assert!(own.fpi().is_empty());
     }
 
     #[test]

@@ -362,7 +362,14 @@ impl Model {
     /// Parametric FPI expression for one function (no evaluation) — the
     /// closed form a user can inspect.
     pub fn fpi_expr(&self, func: &str, arch: &ArchDescription) -> Result<SymExpr, ModelError> {
-        self.metric_expr(func, arch.fpi(), 0)
+        self.group_expr(func, arch.fpi())
+    }
+
+    /// Parametric count of the instructions of `func` (callees composed)
+    /// whose category is in `cats` — [`Model::fpi_expr`] for an explicit
+    /// category set instead of a description's `fpi` group.
+    pub fn group_expr(&self, func: &str, cats: &[Category]) -> Result<SymExpr, ModelError> {
+        self.metric_expr(func, cats, 0)
     }
 
     /// Closed-form expression for the bytes loaded by one call of `func`

@@ -70,7 +70,7 @@
 //! `mira_workloads::roofval` and `bench_roofline` pin their agreement on
 //! STREAM, DGEMM and miniFE.
 
-use mira_arch::ArchDescription;
+use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
 use mira_mem::MemStats;
 use mira_model::{Model, ModelError, ModelOp};
@@ -260,6 +260,43 @@ impl Ceilings {
     }
 }
 
+/// The machine inputs of [`KernelRoofline::analyze`]: the cache line
+/// size (footprints and the nest model count lines) and the `fpi`
+/// category set (which decides whether a kernel is vectorized). Nothing
+/// else of a description reaches a [`KernelRoofline`] — peaks,
+/// bandwidths and capacities enter only at placement, through
+/// [`Ceilings`] — so machines with equal keys share one model.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct RooflineKey {
+    line_bytes: u32,
+    /// Sorted and deduplicated, so keys compare by membership — all the
+    /// FPI count depends on.
+    fpi: Vec<Category>,
+}
+
+impl RooflineKey {
+    pub fn of(arch: &ArchDescription) -> RooflineKey {
+        let mut fpi = arch.fpi().to_vec();
+        fpi.sort_unstable();
+        fpi.dedup();
+        RooflineKey {
+            line_bytes: arch.machine.cache_line_bytes,
+            fpi,
+        }
+    }
+}
+
+impl fmt::Display for RooflineKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-byte lines, fpi = [", self.line_bytes)?;
+        for (i, c) in self.fpi.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}", c.name())?;
+        }
+        f.write_str("]")
+    }
+}
+
 /// The static roofline model of one function: closed-form FLOPs, data
 /// bytes and footprints, ready to be placed at any parameter binding.
 #[derive(Clone, Debug)]
@@ -307,9 +344,22 @@ impl KernelRoofline {
     /// model inside are separately budgeted and degrade on their own —
     /// see [`mira_mem::analyze_program`].)
     pub fn analyze(analysis: &Analysis, func: &str) -> Result<KernelRoofline, ModelError> {
+        Self::analyze_keyed(analysis, &RooflineKey::of(&analysis.arch), func)
+    }
+
+    /// [`KernelRoofline::analyze`] for the machines sharing `key`,
+    /// whatever description `analysis` was made under — the analysis
+    /// itself does not depend on the machine, so one analysis serves
+    /// every key.
+    pub fn analyze_keyed(
+        analysis: &Analysis,
+        key: &RooflineKey,
+        func: &str,
+    ) -> Result<KernelRoofline, ModelError> {
         let mut sp = mira_probe::span("roofline.analyze", "roofline");
         sp.arg("func", func);
-        match mira_sym::budget::with_default_budget(|| Self::analyze_inner(analysis, func)) {
+        sp.arg("line_bytes", key.line_bytes);
+        match mira_sym::budget::with_default_budget(|| Self::analyze_inner(analysis, key, func)) {
             Ok(r) => r,
             Err(e) => {
                 sp.arg("refused", "budget");
@@ -318,16 +368,23 @@ impl KernelRoofline {
         }
     }
 
-    fn analyze_inner(analysis: &Analysis, func: &str) -> Result<KernelRoofline, ModelError> {
+    fn analyze_inner(
+        analysis: &Analysis,
+        key: &RooflineKey,
+        func: &str,
+    ) -> Result<KernelRoofline, ModelError> {
         let model = &analysis.model;
         let flops = model.flops_expr(func)?;
         // packed arithmetic retires more FLOPs than FP instructions; for
         // scalar code the two closed forms coincide
-        let fpi = model.fpi_expr(func, &analysis.arch)?;
+        let fpi = model.group_expr(func, &key.fpi)?;
         let vectorized = !flops.sub_expr(&fpi).is_zero();
+        // inside the budget scope, which pays for it: sharing one access
+        // analysis across keys would change which kernels the budget
+        // refuses
         let access = mira_mem::analyze_program(&analysis.program);
         let fp = access.footprint(func);
-        let line = analysis.arch.machine.cache_line_bytes;
+        let line = key.line_bytes;
         let mut stored = SymExpr::zero();
         for a in &fp.arrays {
             if a.stored {
@@ -786,6 +843,64 @@ mod tests {
         let pv = k.place(&c, &b).unwrap();
         let p = ks.place(&c, &b).unwrap();
         assert!((pv.compute_cycles - p.compute_cycles / 2.0).abs() < 1e-9);
+    }
+
+    /// A description that declares no `[metric …]` group inherits the
+    /// default ones: scalar triad stays scalar (FPI = FLOPs) and places
+    /// on the scalar peak exactly as under the default description,
+    /// instead of an empty `fpi` group making every FLOP look packed.
+    #[test]
+    fn metricless_description_keeps_scalar_triad_on_the_scalar_peak() {
+        let text = mira_arch::desc::DEFAULT_DESCRIPTION;
+        let metricless = &text[..text.find("[metric ").unwrap()];
+        let place = |arch: ArchDescription| {
+            let analysis = analyze_source(
+                TRIAD,
+                &MiraOptions {
+                    arch,
+                    ..MiraOptions::default()
+                },
+            )
+            .unwrap();
+            let k = KernelRoofline::analyze(&analysis, "triad").unwrap();
+            let c = Ceilings::from_arch(&analysis.arch);
+            let b = bindings(&[("n", 4096), ("reps", 3)]);
+            let p = k.place(&c, &b).unwrap();
+            let scalar = k.flops.eval_count(&b).unwrap() as f64 / c.peak_scalar as f64;
+            (k.vectorized, p, scalar)
+        };
+        let (vectorized, p, scalar) = place(ArchDescription::parse(metricless).unwrap());
+        assert!(!vectorized, "scalar triad is not vectorized");
+        assert_eq!(p.compute_cycles.to_bits(), scalar.to_bits(), "scalar peak");
+        let (_, default, _) = place(ArchDescription::default());
+        assert_eq!(p, default, "same placement as the default description");
+    }
+
+    #[test]
+    fn roofline_key_reads_only_line_size_and_fpi_membership() {
+        let base = ArchDescription::default();
+        let mut ceilings_only = base.clone();
+        ceilings_only.machine.name = "other".to_string();
+        ceilings_only.machine.bandwidth.dram *= 2;
+        ceilings_only.machine.peak.fma = true;
+        ceilings_only.machine.l2.size_bytes *= 4;
+        let mut reordered = base.clone();
+        let mut fpi = base.fpi().to_vec();
+        fpi.reverse();
+        fpi.push(fpi[0]);
+        reordered.set_metric("fpi", fpi);
+        assert_eq!(RooflineKey::of(&base), RooflineKey::of(&ceilings_only));
+        assert_eq!(RooflineKey::of(&base), RooflineKey::of(&reordered));
+        let mut line = base.clone();
+        line.machine.cache_line_bytes = 128;
+        assert_ne!(RooflineKey::of(&base), RooflineKey::of(&line));
+        let mut group = base.clone();
+        group.set_metric("fpi", vec![Category::X87BasicArith]);
+        assert_ne!(RooflineKey::of(&base), RooflineKey::of(&group));
+        assert_eq!(
+            RooflineKey::of(&group).to_string(),
+            "64-byte lines, fpi = [x87_basic_arith]"
+        );
     }
 
     #[test]

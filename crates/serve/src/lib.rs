@@ -38,10 +38,10 @@
 //!   counters via [`AnswerCache::probe`], and self-invalidation against
 //!   the index's swap generation.
 //! * [`fleet`] — [`MachineFleet`]: a directory of `*.ini` machine
-//!   descriptions, every admitted kernel compiled against every
-//!   machine, and [`MachineFleet::reload`] hot-swapping the models of
-//!   edited files atomically ([`KernelId`]s stable, caches
-//!   invalidated).
+//!   descriptions, every admitted kernel analysed once and compiled
+//!   against every machine, and [`MachineFleet::reload`] hot-swapping
+//!   the models of edited files atomically ([`KernelId`]s stable,
+//!   caches invalidated).
 //!
 //! The equivalence story has one compile-time escape hatch:
 //! [`ServeIndex`] refuses (typed [`BuildError`]) any kernel whose

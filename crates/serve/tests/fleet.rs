@@ -2,7 +2,10 @@
 //! all-or-nothing, hot-reload swaps changed machines atomically under
 //! stable [`mira_serve::KernelId`]s, answer caches self-invalidate on
 //! reload, and fleet-reloaded answers are bit-identical to the symbolic
-//! tree walk under the edited description.
+//! tree walk under the edited description. The fleet analyses each
+//! source once and shares one roofline per [`RooflineKey`]: its answers
+//! must equal the per-machine full pipeline bit for bit, and probe spans
+//! count the work it skips.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,20 +13,20 @@ use std::path::PathBuf;
 use mira_arch::desc::DEFAULT_DESCRIPTION;
 use mira_arch::{ArchDescription, LoadError};
 use mira_core::{analyze_source, MiraOptions};
-use mira_roofline::{Ceilings, KernelRoofline, MemLevel, Placement};
-use mira_serve::{machines, AnswerCache, FleetError, MachineFleet, Scratch, ServeError};
+use mira_roofline::{Ceilings, KernelRoofline, MemLevel, Placement, RooflineKey};
+use mira_serve::{
+    machines, AnswerCache, CompiledKernel, FleetError, MachineFleet, Scratch, ServeError,
+};
 
 /// A fresh temp directory holding the two stock machine descriptions.
 fn fleet_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mira_serve_fleet_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create temp dir");
-    fs::write(dir.join("generic.ini"), DEFAULT_DESCRIPTION).expect("write generic");
-    fs::write(dir.join("avx2.ini"), machines::AVX2_FMA_DESCRIPTION).expect("write avx2");
-    dir
+    dir_with(
+        tag,
+        &[
+            ("generic.ini", DEFAULT_DESCRIPTION.to_string()),
+            ("avx2.ini", machines::AVX2_FMA_DESCRIPTION.to_string()),
+        ],
+    )
 }
 
 /// Positional values for a kernel: `n` slots get `n0`, the rest 1.
@@ -294,5 +297,345 @@ fn cached_refusals_match_uncached() {
     assert_eq!(cold, first, "cold vs cache-miss");
     assert_eq!(cold, second, "cold vs cache-hit");
     assert!(cache.probe().hits >= 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every workload kernel the differential suites sweep.
+const WORKLOADS: &[(&str, &str)] = &[
+    ("triad", mira_workloads::memval::TRIAD_SRC),
+    ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
+    ("dgemm_tiled", mira_workloads::roofval::DGEMM_TILED_SRC),
+    ("triad_blocked", mira_workloads::roofval::TRIAD_BLOCKED_SRC),
+    ("trisolve", mira_workloads::compose::TRISOLVE_SRC),
+    ("blur", mira_workloads::compose::STENCIL_SWEEP_SRC),
+    ("cg_solve", mira_workloads::minife::MINIFE_SRC),
+];
+
+/// The default description renamed to `name`, with `line` replaced by
+/// `with` (the replacement must apply).
+fn variant(name: &str, line: &str, with: &str) -> String {
+    let renamed = DEFAULT_DESCRIPTION.replace("name = generic-x86_64", &format!("name = {name}"));
+    let edited = renamed.replace(line, with);
+    assert_ne!(edited, renamed, "edit `{line}` applied to {name}");
+    edited
+}
+
+fn line_bytes(name: &str, bytes: u32) -> String {
+    variant(
+        name,
+        "cache_line_bytes = 64",
+        &format!("cache_line_bytes = {bytes}"),
+    )
+}
+
+fn dram_bytes_per_cycle(name: &str, bytes: u32) -> String {
+    variant(
+        name,
+        "[bandwidth dram]\nbytes_per_cycle = 4",
+        &format!("[bandwidth dram]\nbytes_per_cycle = {bytes}"),
+    )
+}
+
+/// A machine whose `fpi` group counts only x87 arithmetic, so SSE2 code
+/// has no FPI and every kernel with FLOPs looks packed.
+fn x87_fpi(name: &str) -> String {
+    variant(
+        name,
+        "categories = sse2_packed_arith, sse_packed_arith, x87_basic_arith, avx_arith, fma",
+        "categories = x87_basic_arith",
+    )
+}
+
+/// A temp directory holding exactly `files` (name, text).
+fn dir_with(tag: &str, files: &[(&str, String)]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "mira_serve_fleet_{tag}_{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create temp dir");
+    for (name, text) in files {
+        fs::write(dir.join(name), text).expect("write description");
+    }
+    dir
+}
+
+/// The per-machine full pipeline the fleet must reproduce: analysis
+/// under the machine's own description, its roofline, its compile.
+fn full_pipeline(desc_text: &str, func: &str, src: &str) -> CompiledKernel {
+    let arch = ArchDescription::parse(desc_text).expect("description parses");
+    let machine = arch.machine.name.clone();
+    let opts = MiraOptions {
+        arch,
+        ..Default::default()
+    };
+    let analysis = analyze_source(src, &opts).expect("workload analyzes");
+    let kr = KernelRoofline::analyze(&analysis, func).expect("roofline analyzes");
+    let c = Ceilings::from_arch(&analysis.arch);
+    CompiledKernel::build(&kr, &c, &machine).expect("kernel compiles")
+}
+
+/// Positional value vectors over a size grid, refusal sizes included.
+fn value_grid(params: &[String]) -> Vec<Vec<i128>> {
+    [1i128, 7, 64, 100, 4096, 1 << 20, i64::MAX as i128]
+        .iter()
+        .map(|&n| {
+            params
+                .iter()
+                .map(|p| match p.as_str() {
+                    "n" => n,
+                    "nnz_row_milli" => 26_144,
+                    "cg_iters" => 20,
+                    _ => 3,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every workload kernel on every machine of the fleet answers exactly
+/// as the per-machine full pipeline does, placements bit for bit and
+/// refusals by value.
+fn assert_fleet_matches_full_pipeline(fleet: &MachineFleet, ctx: &str) {
+    let mut s = Scratch::new();
+    for m in fleet.machines() {
+        for (func, src) in WORKLOADS {
+            let id = fleet.find(func, m.name()).expect("pair admitted");
+            let served = fleet.index().kernel(id).expect("kernel");
+            let reference = full_pipeline(&m.text, func, src);
+            let pair = format!("{ctx}: {func}@{}", m.name());
+            assert_eq!(served.params(), reference.params(), "{pair} params");
+            assert_eq!(served.ceilings(), reference.ceilings(), "{pair} ceilings");
+            assert_eq!(
+                served.program().ops_len(),
+                reference.program().ops_len(),
+                "{pair} ops"
+            );
+            for values in value_grid(reference.params()) {
+                let q = fleet.index().query(id, &values).expect("query builds");
+                let got = fleet.index().place(&q, &mut s);
+                let want = reference.place_values(&values, &mut s);
+                match (&got, &want) {
+                    (Ok(a), Ok(b)) => assert_bit_identical(a, b, &format!("{pair} {values:?}")),
+                    _ => assert_eq!(got, want, "{pair} {values:?}"),
+                }
+            }
+        }
+    }
+}
+
+fn admit_workloads(fleet: &mut MachineFleet) {
+    for (func, src) in WORKLOADS {
+        fleet.admit_source(func, src).expect("workload admits");
+    }
+}
+
+fn spans(trace: &mira_probe::Trace, pred: impl Fn(&str) -> bool) -> usize {
+    trace
+        .events
+        .iter()
+        .filter(|e| e.kind == mira_probe::EventKind::Complete && pred(e.name))
+        .count()
+}
+
+fn named(trace: &mira_probe::Trace, name: &str) -> usize {
+    spans(trace, |n| n == name)
+}
+
+fn phases(trace: &mira_probe::Trace) -> usize {
+    spans(trace, |n| n.starts_with("phase."))
+}
+
+/// The one `name` span's argument `key`.
+fn span_arg(trace: &mira_probe::Trace, name: &str, key: &str) -> String {
+    let e = trace
+        .events
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("no {name} span"));
+    e.args
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.clone())
+        .unwrap_or_else(|| panic!("{name} lacks arg {key}"))
+}
+
+/// The cache key is exactly what the roofline reads: machines that
+/// differ only in line size (32/64/128) or in the `fpi` group get their
+/// own models, machines that differ only in ceilings share one, and
+/// every served answer equals the per-machine full pipeline — also
+/// after a reload that re-keys a machine and one that removes a machine.
+#[test]
+fn fleet_answers_equal_the_per_machine_full_pipeline() {
+    let dir = dir_with(
+        "keys",
+        &[
+            ("generic.ini", DEFAULT_DESCRIPTION.to_string()),
+            ("avx2.ini", machines::AVX2_FMA_DESCRIPTION.to_string()),
+            ("line32.ini", line_bytes("line32", 32)),
+            ("line128.ini", line_bytes("line128", 128)),
+            ("x87fpi.ini", x87_fpi("x87-fpi")),
+        ],
+    );
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let keys: std::collections::HashSet<RooflineKey> = fleet
+        .machines()
+        .map(|m| RooflineKey::of(&m.desc))
+        .collect();
+    assert_eq!(keys.len(), 4, "generic and avx2 share a key");
+    let ((), admit) = mira_probe::capture(|| admit_workloads(&mut fleet));
+    let n = WORKLOADS.len();
+    assert_eq!(named(&admit, "phase.frontend"), n, "one pipeline run per kernel");
+    assert_eq!(named(&admit, "roofline.analyze"), 4 * n, "one roofline per key");
+    assert_eq!(named(&admit, "serve.compile"), 5 * n, "one compile per pair");
+    assert_fleet_matches_full_pipeline(&fleet, "admitted");
+
+    // the keys matter: the test would catch a fleet that ignored them
+    let mut s = Scratch::new();
+    let mut place = |machine: &str| {
+        let id = fleet.find("triad", machine).expect("pair");
+        // cache-resident, so the line count (rounded up) is the traffic
+        let q = fleet
+            .index()
+            .query(id, &base_values(&fleet, id, 100))
+            .expect("query builds");
+        fleet.index().place(&q, &mut s).expect("places")
+    };
+    let generic = place(machines::GENERIC);
+    assert_ne!(generic, place("line128"), "line size changes the model");
+    assert_ne!(generic, place("x87-fpi"), "the fpi group changes the model");
+
+    // a line-size edit to a key no kernel has re-keys: one pipeline run
+    // per kernel, compiles for the edited machine only
+    fs::write(dir.join("line32.ini"), line_bytes("line32", 256)).expect("edit");
+    let (report, trace) = mira_probe::capture(|| fleet.reload());
+    let report = report.expect("reload");
+    assert_eq!(report.changed, ["line32"]);
+    assert_eq!(report.recompiled, n);
+    assert_eq!(named(&trace, "phase.frontend"), n);
+    assert_eq!(named(&trace, "roofline.analyze"), n);
+    assert_eq!(named(&trace, "serve.compile"), n);
+    assert_eq!(span_arg(&trace, "fleet.reload", "analyses"), n.to_string());
+    assert_fleet_matches_full_pipeline(&fleet, "re-keyed");
+
+    // an edit onto a key another machine already has shares its models
+    fs::write(dir.join("line32.ini"), line_bytes("line32", 128)).expect("edit");
+    let (report, trace) = mira_probe::capture(|| fleet.reload());
+    assert_eq!(report.expect("reload").recompiled, n);
+    assert_eq!(phases(&trace), 0, "shared key: no pipeline run");
+    assert_eq!(named(&trace, "roofline.analyze"), 0);
+    assert_fleet_matches_full_pipeline(&fleet, "shared key");
+
+    // the 256-byte key lost its last machine and was dropped: going
+    // back to it analyses again
+    fs::write(dir.join("line32.ini"), line_bytes("line32", 256)).expect("edit");
+    let (report, trace) = mira_probe::capture(|| fleet.reload());
+    assert_eq!(report.expect("reload").recompiled, n);
+    assert_eq!(named(&trace, "phase.frontend"), n, "unused key was pruned");
+
+    // removing a machine rebuilds the index from the kept models
+    fs::remove_file(dir.join("x87fpi.ini")).expect("remove");
+    let (report, trace) = mira_probe::capture(|| fleet.reload());
+    let report = report.expect("reload");
+    assert_eq!(report.removed, ["x87-fpi"]);
+    assert_eq!(report.recompiled, 4 * n);
+    assert_eq!(phases(&trace), 0, "removal runs no pipeline");
+    assert_eq!(named(&trace, "roofline.analyze"), 0);
+    assert_eq!(named(&trace, "serve.compile"), 4 * n);
+    assert!(fleet.find("triad", "x87-fpi").is_none());
+    assert_fleet_matches_full_pipeline(&fleet, "after removal");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Four machines, one roofline key: what admission and a ceilings-only
+/// reload cost, counted in probe spans rather than timed.
+#[test]
+fn fleet_work_counts_follow_the_artifact_tiers() {
+    let dir = dir_with(
+        "counts",
+        &[
+            ("generic.ini", DEFAULT_DESCRIPTION.to_string()),
+            ("avx2.ini", machines::AVX2_FMA_DESCRIPTION.to_string()),
+            ("slowmem.ini", dram_bytes_per_cycle("slowmem", 2)),
+            (
+                "bigl2.ini",
+                variant("bigl2", "size_bytes = 262144", "size_bytes = 2097152"),
+            ),
+        ],
+    );
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    let (ids, trace) = mira_probe::capture(|| {
+        fleet.admit_source("triad", mira_workloads::memval::TRIAD_SRC)
+    });
+    assert_eq!(ids.expect("triad admits").len(), 4);
+    assert_eq!(named(&trace, "phase.frontend"), 1);
+    assert_eq!(named(&trace, "phase.metrics"), 1);
+    assert_eq!(named(&trace, "roofline.analyze"), 1);
+    assert_eq!(named(&trace, "serve.compile"), 4);
+    assert_eq!(span_arg(&trace, "fleet.admit", "analyses"), "1");
+    assert_eq!(span_arg(&trace, "fleet.admit", "models"), "1");
+    assert_eq!(span_arg(&trace, "fleet.admit", "compiled"), "4");
+
+    for (func, src) in &WORKLOADS[1..3] {
+        fleet.admit_source(func, src).expect("workload admits");
+    }
+    let kernels = fleet.funcs().count();
+    let edited = dram_bytes_per_cycle("slowmem", 3);
+    fs::write(dir.join("slowmem.ini"), &edited).expect("edit bandwidth");
+    let (report, trace) = mira_probe::capture(|| fleet.reload());
+    let report = report.expect("reload");
+    assert_eq!(report.changed, ["slowmem"]);
+    assert_eq!(report.recompiled, kernels);
+    assert_eq!(phases(&trace), 0, "a ceilings edit runs no pipeline");
+    assert_eq!(named(&trace, "roofline.analyze"), 0);
+    assert_eq!(named(&trace, "serve.compile"), kernels);
+    assert_eq!(span_arg(&trace, "fleet.reload", "analyses"), "0");
+    assert_eq!(span_arg(&trace, "fleet.reload", "models"), "0");
+    assert_eq!(span_arg(&trace, "fleet.reload", "compiled"), kernels.to_string());
+
+    // and the recompiled answer is the full pipeline's under the edit
+    let id = fleet.find("triad", "slowmem").expect("pair");
+    let vals = base_values(&fleet, id, 4096);
+    let q = fleet.index().query(id, &vals).expect("query builds");
+    let mut s = Scratch::new();
+    let served = fleet.index().place(&q, &mut s).expect("places");
+    let want = full_pipeline(&edited, "triad", mira_workloads::memval::TRIAD_SRC)
+        .place_values(&vals, &mut s)
+        .expect("places");
+    assert_bit_identical(&served, &want, "bandwidth reload");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Refusals name what they are attributable to: the pipeline's to the
+/// kernel alone (it runs once, whatever the machines), the roofline's
+/// to the key. Nothing is admitted either way.
+#[test]
+fn refusals_name_the_kernel_or_the_roofline_key() {
+    let dir = fleet_dir("attribution");
+    let mut fleet = MachineFleet::load(&dir).expect("fleet loads");
+    match fleet.admit_source("broken", "void broken(int n) { for ( }") {
+        Err(e @ FleetError::Analyze { .. }) => {
+            let FleetError::Analyze { func, .. } = &e else { unreachable!() };
+            assert_eq!(func, "broken");
+            assert!(e.to_string().starts_with("analyzing `broken`: "), "{e}");
+        }
+        other => panic!("expected Analyze, got {:?}", other.map(|_| ())),
+    }
+    // the source analyses, but has no function by that name
+    match fleet.admit_source("nope", mira_workloads::memval::TRIAD_SRC) {
+        Err(e @ FleetError::Model { .. }) => {
+            let FleetError::Model { func, key, .. } = &e else { unreachable!() };
+            assert_eq!(func, "nope");
+            let first = fleet.machines().next().expect("a machine");
+            assert_eq!(*key, RooflineKey::of(&first.desc));
+            assert!(
+                e.to_string().starts_with("modeling `nope` for machines with 64-byte lines"),
+                "{e}"
+            );
+        }
+        other => panic!("expected Model, got {:?}", other.map(|_| ())),
+    }
+    assert!(fleet.index().is_empty());
+    assert_eq!(fleet.funcs().count(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
