@@ -49,6 +49,13 @@
 //! [`KernelRoofline::crossover_sweep`] is the brute-force oracle the
 //! tests pin it against.
 //!
+//! The placement algorithm is written once, as [`place_with`]: it asks
+//! a [`CeilingEval`] for the closed forms ([`PlaceForm`]) the selected
+//! regimes need, in order. [`KernelRoofline::place`] answers by walking
+//! the [`SymExpr`]s; `mira-serve`'s compiled kernels answer the same
+//! requests from bytecode, so the two tiers cannot choose regimes
+//! differently.
+//!
 //! ## Budgets and refusal
 //!
 //! [`KernelRoofline::analyze`] and [`KernelRoofline::place`] run their
@@ -72,9 +79,10 @@
 
 use mira_arch::{ArchDescription, Category};
 use mira_core::Analysis;
-use mira_mem::MemStats;
+use mira_mem::{BoundaryTraffic, MemStats};
 use mira_model::{Model, ModelError, ModelOp};
 use mira_sym::{Bindings, EvalError, Rat, SymExpr};
+use std::borrow::Cow;
 use std::fmt;
 
 /// One memory-hierarchy boundary a roofline ceiling caps.
@@ -444,63 +452,32 @@ impl KernelRoofline {
             ))
     }
 
-    /// Place the kernel at concrete parameter values: evaluate the four
-    /// ceilings and classify.
-    ///
-    /// Each deeper boundary's traffic is chosen piecewise. When the
-    /// whole footprint fits in the level above, only compulsory traffic
-    /// crosses ([`KernelRoofline::resident_cycles_expr`]). Otherwise the
-    /// per-nest working-set model refines the old binary sweep: each
-    /// array's traffic is placed at the shallowest level whose capacity
-    /// holds the relevant per-iteration working set, so inner-loop reuse
-    /// hits L1, loop-carried reuse hits the level that holds the carried
-    /// set, and only genuinely uncaptured re-sweeps multiply
-    /// ([`mira_mem::NestModel::boundary_traffic`]).
-    ///
-    /// When the per-nest model is unavailable (guarded references or
-    /// calls, unanalyzable loops — composed callees and triangular
-    /// nests now model) the boundary falls back to the streaming bound, and
-    /// when the footprint is *not* fully known (unanalyzed, unannotated
-    /// arrays) the analyzed lines are only a lower bound, so the
-    /// fits-above test cannot be trusted — a kernel with data-dependent
-    /// accesses the analysis could not bound is assumed to sweep, never
-    /// to sit compulsory-only in cache.
+    /// The closed form a [`PlaceForm`] request names, under ceilings
+    /// `c` — the one table both tiers build their evaluators from.
+    pub fn form_expr(&self, c: &Ceilings, f: PlaceForm) -> Cow<'_, SymExpr> {
+        match f {
+            PlaceForm::Compute => Cow::Owned(self.compute_cycles_expr(c)),
+            PlaceForm::FootprintLines => Cow::Borrowed(&self.footprint_lines),
+            PlaceForm::L1 => Cow::Owned(self.l1_cycles_expr(c)),
+            PlaceForm::Resident(level) => Cow::Owned(self.resident_cycles_expr(c, level)),
+            PlaceForm::Streaming(level) => Cow::Owned(self.streaming_cycles_expr(c, level)),
+        }
+    }
+
+    /// Place the kernel at concrete parameter values: [`place_with`]
+    /// over the tree walk of the closed forms.
     pub fn place(&self, c: &Ceilings, b: &Bindings) -> Result<Placement, EvalError> {
         let _a = mira_probe::accum("roofline.place");
         // placement evaluates closed forms over untrusted bindings; the
         // budget scope bounds evaluation depth and work, refusing with a
         // typed error instead of overflowing the host stack
-        match mira_sym::budget::with_default_budget(|| self.place_inner(c, b)) {
+        let mut walk = TreeWalk { k: self, c, b };
+        match mira_sym::budget::with_default_budget(|| {
+            place_with(self.footprint_known, c, &mut walk)
+        }) {
             Ok(r) => r,
             Err(e) => Err(EvalError::Budget(e)),
         }
-    }
-
-    fn place_inner(&self, c: &Ceilings, b: &Bindings) -> Result<Placement, EvalError> {
-        let compute = self.compute_cycles_expr(c).eval(b)?.to_f64();
-        // only consulted in the known-footprint case — an unanalyzable
-        // kernel's placement must not require the partial footprint to
-        // be evaluable
-        let footprint_bytes = if self.footprint_known {
-            self.footprint_lines.eval_count(b)? * c.line_bytes as i128
-        } else {
-            0
-        };
-        let mut mem = [0.0; 3];
-        mem[0] = self.l1_cycles_expr(c).eval(b)?.to_f64();
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let cap = c.capacity_above[level.index()].unwrap_or(0) as i128;
-            mem[level.index()] = if self.footprint_known && footprint_bytes <= cap {
-                self.resident_cycles_expr(c, level).eval(b)?.to_f64()
-            } else if let Some(nest) = &self.nest_model {
-                let t = nest.boundary_traffic(cap.max(0) as u64, b)?;
-                t.total_lines() as f64 * c.line_bytes as f64
-                    / c.bandwidth[level.index()] as f64
-            } else {
-                self.streaming_cycles_expr(c, level).eval(b)?.to_f64()
-            };
-        }
-        Ok(Placement::classify(compute, mem))
     }
 
     /// Solve for the regime crossover of `param` in `[lo, hi]`: the
@@ -510,8 +487,8 @@ impl KernelRoofline {
     /// predicate "still under the starting roof"), which is what the
     /// polynomial growth orders of the bounds give on any window that
     /// stays within one capacity regime shape. `None` when the binding
-    /// never changes. [`KernelRoofline::crossover_sweep`] is the
-    /// assumption-free oracle.
+    /// never changes or the window is empty (`lo > hi`).
+    /// [`KernelRoofline::crossover_sweep`] is the assumption-free oracle.
     pub fn crossover(
         &self,
         c: &Ceilings,
@@ -532,6 +509,7 @@ impl KernelRoofline {
 
     /// Brute-force crossover: walk every value of `param` in `[lo, hi]`
     /// and report the first whose binding differs from the one at `lo`.
+    /// `None` for an empty window (`lo > hi`), like the bisection.
     pub fn crossover_sweep(
         &self,
         c: &Ceilings,
@@ -540,6 +518,9 @@ impl KernelRoofline {
         lo: i128,
         hi: i128,
     ) -> Result<Option<Crossover>, EvalError> {
+        if lo > hi {
+            return Ok(None);
+        }
         let mut b = base.clone();
         b.insert(param.to_string(), lo);
         let from = self.place(c, &b)?.binding;
@@ -558,6 +539,114 @@ impl KernelRoofline {
     }
 }
 
+/// One closed form the placement loop ([`place_with`]) reads. The loop
+/// names what it needs; a [`CeilingEval`] answers — the tree walk by
+/// evaluating [`KernelRoofline::form_expr`], the compiled serving tier
+/// (`mira-serve`) by running the bytecode section compiled from it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum PlaceForm {
+    /// [`KernelRoofline::compute_cycles_expr`].
+    Compute,
+    /// [`KernelRoofline::footprint_lines`], rounded like
+    /// [`SymExpr::eval_count`]. Requested only when the footprint is
+    /// fully known.
+    FootprintLines,
+    /// [`KernelRoofline::l1_cycles_expr`].
+    L1,
+    /// [`KernelRoofline::resident_cycles_expr`] of a deeper boundary.
+    Resident(MemLevel),
+    /// [`KernelRoofline::streaming_cycles_expr`] of a deeper boundary.
+    Streaming(MemLevel),
+}
+
+/// An evaluator of the closed forms [`place_with`] reads. Requests
+/// arrive lazily, in evaluation order, and only for the forms the
+/// selected regimes need: an evaluator must not evaluate ahead, or its
+/// refusals would diverge from the other tier's.
+pub trait CeilingEval {
+    /// The value of one closed form.
+    fn form(&mut self, f: PlaceForm) -> Result<Rat, EvalError>;
+    /// The per-nest working-set traffic across a boundary whose upper
+    /// level holds `cap_bytes` ([`mira_mem::NestModel::boundary_traffic`]),
+    /// or `None` when the kernel has no nest model.
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<Option<BoundaryTraffic>, EvalError>;
+}
+
+/// The placement algorithm, written once for both tiers: evaluate the
+/// four ceilings through `ev` and classify.
+///
+/// Each deeper boundary's traffic is chosen piecewise. When the whole
+/// footprint fits in the level above, only compulsory traffic crosses
+/// ([`KernelRoofline::resident_cycles_expr`]). Otherwise the per-nest
+/// working-set model refines the old binary sweep: each array's traffic
+/// is placed at the shallowest level whose capacity holds the relevant
+/// per-iteration working set, so inner-loop reuse hits L1, loop-carried
+/// reuse hits the level that holds the carried set, and only genuinely
+/// uncaptured re-sweeps multiply
+/// ([`mira_mem::NestModel::boundary_traffic`]).
+///
+/// When the per-nest model is unavailable (guarded references or calls,
+/// unanalyzable loops) the boundary falls back to the streaming bound,
+/// and when the footprint is *not* fully known (unanalyzed, unannotated
+/// arrays) the analyzed lines are only a lower bound, so the fits-above
+/// test cannot be trusted — a kernel with data-dependent accesses the
+/// analysis could not bound is assumed to sweep, never to sit
+/// compulsory-only in cache. Its footprint is then never requested, so
+/// its placement does not require the partial footprint to be
+/// evaluable.
+pub fn place_with(
+    footprint_known: bool,
+    c: &Ceilings,
+    ev: &mut impl CeilingEval,
+) -> Result<Placement, EvalError> {
+    let compute = ev.form(PlaceForm::Compute)?.to_f64();
+    let footprint_bytes = if footprint_known {
+        ev.form(PlaceForm::FootprintLines)?
+            .floor()
+            .saturating_mul(c.line_bytes as i128)
+    } else {
+        0
+    };
+    let mut mem = [0.0; 3];
+    mem[0] = ev.form(PlaceForm::L1)?.to_f64();
+    for level in [MemLevel::L2, MemLevel::Dram] {
+        let cap = c.capacity_above[level.index()].unwrap_or(0) as i128;
+        mem[level.index()] = if footprint_known && footprint_bytes <= cap {
+            ev.form(PlaceForm::Resident(level))?.to_f64()
+        } else if let Some(t) = ev.nest_traffic(cap.max(0) as u64)? {
+            t.total_lines() as f64 * c.line_bytes as f64 / c.bandwidth[level.index()] as f64
+        } else {
+            ev.form(PlaceForm::Streaming(level))?.to_f64()
+        };
+    }
+    Ok(Placement::classify(compute, mem))
+}
+
+/// The tree-walk evaluator behind [`KernelRoofline::place`].
+struct TreeWalk<'a> {
+    k: &'a KernelRoofline,
+    c: &'a Ceilings,
+    b: &'a Bindings,
+}
+
+impl CeilingEval for TreeWalk<'_> {
+    fn form(&mut self, f: PlaceForm) -> Result<Rat, EvalError> {
+        let e = self.k.form_expr(self.c, f);
+        match f {
+            PlaceForm::FootprintLines => Ok(Rat::int(e.eval_count(self.b)?)),
+            _ => e.eval(self.b),
+        }
+    }
+
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<Option<BoundaryTraffic>, EvalError> {
+        self.k
+            .nest_model
+            .as_ref()
+            .map(|n| n.boundary_traffic(cap_bytes, self.b))
+            .transpose()
+    }
+}
+
 /// The bisection core of [`KernelRoofline::crossover`], generic over
 /// how a parameter value is placed: `place_at(v)` returns the binding
 /// ceiling at `v`. Shared by the tree-walk crossover above and the
@@ -565,12 +654,16 @@ impl KernelRoofline {
 /// regime changes with the identical search — any answer difference
 /// between them can only come from the placement evaluator itself,
 /// which the differential tests pin. Valid when the window contains a
-/// single regime change; `None` when the binding never changes.
+/// single regime change; `None` when the binding never changes, and for
+/// an empty window (`lo > hi`) without placing anything.
 pub fn crossover_bisect(
     lo: i128,
     hi: i128,
     mut place_at: impl FnMut(i128) -> Result<Ceiling, EvalError>,
 ) -> Result<Option<Crossover>, EvalError> {
+    if lo > hi {
+        return Ok(None);
+    }
     let from = place_at(lo)?;
     if place_at(hi)? == from {
         return Ok(None);
@@ -901,6 +994,155 @@ mod tests {
             RooflineKey::of(&group).to_string(),
             "64-byte lines, fpi = [x87_basic_arith]"
         );
+    }
+
+    /// One request the placement loop made of its evaluator.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Request {
+        Form(PlaceForm),
+        Nest(u64),
+    }
+
+    /// A fake evaluator: records every request and answers from fixed
+    /// values — every form is 1 cycle except the footprint — refusing
+    /// the one request named in `refuse`.
+    struct Recorder {
+        log: Vec<Request>,
+        footprint_lines: i128,
+        nest: Option<BoundaryTraffic>,
+        refuse: Option<Request>,
+    }
+
+    impl Recorder {
+        fn new(footprint_lines: i128, nest: Option<BoundaryTraffic>) -> Recorder {
+            Recorder {
+                log: Vec::new(),
+                footprint_lines,
+                nest,
+                refuse: None,
+            }
+        }
+
+        fn ask(&mut self, r: Request) -> Result<(), EvalError> {
+            self.log.push(r);
+            if self.refuse == Some(r) {
+                return Err(EvalError::Overflow);
+            }
+            Ok(())
+        }
+    }
+
+    impl CeilingEval for Recorder {
+        fn form(&mut self, f: PlaceForm) -> Result<Rat, EvalError> {
+            self.ask(Request::Form(f))?;
+            Ok(match f {
+                PlaceForm::FootprintLines => Rat::int(self.footprint_lines),
+                _ => Rat::ONE,
+            })
+        }
+
+        fn nest_traffic(&mut self, cap_bytes: u64) -> Result<Option<BoundaryTraffic>, EvalError> {
+            self.ask(Request::Nest(cap_bytes))?;
+            Ok(self.nest)
+        }
+    }
+
+    /// The evaluator contract of [`place_with`]: which closed forms it
+    /// requests, in which order, in each regime — and that a refusal
+    /// stops it with no further requests.
+    #[test]
+    fn place_with_requests_forms_lazily_in_order() {
+        use PlaceForm::*;
+        use Request::{Form, Nest};
+        let c = Ceilings::from_arch(&ArchDescription::default());
+        let (l2_cap, dram_cap) = (32768, 262144);
+        let nest = BoundaryTraffic {
+            fill_lines: 100,
+            writeback_lines: 25,
+        };
+        let run = |known: bool, lines: i128, nest: Option<BoundaryTraffic>| {
+            let mut ev = Recorder::new(lines, nest);
+            let p = place_with(known, &c, &mut ev).unwrap();
+            (p, ev.log)
+        };
+        let prefix = [Form(Compute), Form(FootprintLines), Form(L1)];
+
+        // resident: 10 lines fit above both deeper boundaries
+        let (p, log) = run(true, 10, Some(nest));
+        let resident = [
+            &prefix[..],
+            &[Form(Resident(MemLevel::L2)), Form(Resident(MemLevel::Dram))],
+        ]
+        .concat();
+        assert_eq!(log, resident);
+        assert_eq!(p.mem_cycles, [1.0, 1.0, 1.0]);
+
+        // nest: 10k lines fit nowhere; the nest step answers, so no
+        // streaming form is requested
+        let (p, log) = run(true, 10_000, Some(nest));
+        assert_eq!(log, [&prefix[..], &[Nest(l2_cap), Nest(dram_cap)]].concat());
+        assert_eq!(p.mem_cycles[1], 125.0 * 64.0 / 16.0);
+        assert_eq!(p.mem_cycles[2], 125.0 * 64.0 / 4.0);
+
+        // streaming: no nest model, so each boundary falls back
+        let (_, log) = run(true, 10_000, None);
+        let streaming = [
+            &prefix[..],
+            &[
+                Nest(l2_cap),
+                Form(Streaming(MemLevel::L2)),
+                Nest(dram_cap),
+                Form(Streaming(MemLevel::Dram)),
+            ],
+        ]
+        .concat();
+        assert_eq!(log, streaming);
+
+        // mixed: 1000 lines (64000 bytes) exceed L1 but fit L2
+        let (_, log) = run(true, 1000, Some(nest));
+        assert_eq!(
+            log,
+            [&prefix[..], &[Nest(l2_cap), Form(Resident(MemLevel::Dram))]].concat()
+        );
+
+        // unknown footprint: never requested, and never resident — even
+        // when the (partial) footprint would fit
+        for nest in [Some(nest), None] {
+            let (_, log) = run(false, 1, nest);
+            assert!(!log.contains(&Form(FootprintLines)), "{log:?}");
+            assert!(
+                !log.iter().any(|r| matches!(r, Form(Resident(_)))),
+                "{log:?}"
+            );
+            assert_eq!(log[..2], [Form(Compute), Form(L1)]);
+        }
+
+        // a refusal stops the loop: nothing is requested after it
+        for (lines, nest, full) in [(10, Some(nest), resident), (10_000, None, streaming)] {
+            for (i, &r) in full.iter().enumerate() {
+                let mut ev = Recorder::new(lines, nest);
+                ev.refuse = Some(r);
+                assert_eq!(place_with(true, &c, &mut ev), Err(EvalError::Overflow));
+                assert_eq!(ev.log, full[..=i], "refusing {r:?}");
+            }
+        }
+    }
+
+    /// An empty window (`lo > hi`) has no crossover on either solver,
+    /// and the bisection core places nothing for it.
+    #[test]
+    fn empty_window_has_no_crossover() {
+        let (k, c) = triad_model(false);
+        let base = bindings(&[("n", 1024)]);
+        assert_eq!(k.crossover(&c, "reps", &base, 200, 1).unwrap(), None);
+        assert_eq!(k.crossover_sweep(&c, "reps", &base, 200, 1).unwrap(), None);
+        let mut placed = 0;
+        let r = crossover_bisect(5, 4, |_| {
+            placed += 1;
+            Ok(Ceiling::Compute)
+        });
+        assert_eq!(r, Ok(None));
+        assert_eq!(placed, 0);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl MachineFleet {
             self.index = index;
         } else {
             for k in built {
-                self.index.replace_compiled(k);
+                self.index.replace(k);
             }
         }
         for (s, models) in self.sources.iter_mut().zip(next) {

@@ -2,21 +2,26 @@
 //! machine, answered by the flat evaluator at batch rates.
 //!
 //! [`CompiledKernel`] lowers every closed form a
-//! [`KernelRoofline::place`] call can touch — the compute ceiling, the
-//! L1 bound, the footprint count, both piecewise regime bounds of each
-//! deeper boundary, and the per-nest working-set model's headers and
-//! group counts — into one [`EvalProgram`] with lazily-run sections, so
-//! a query executes exactly the expressions the tree walk would have
-//! evaluated, in the same order, with the same refusals, at a fraction
-//! of the cost. The regime *selection* is not duplicated here: the
-//! placement loop mirrors `place_inner` line for line, and the nest
-//! regime rules are the shared [`mira_mem::NestShape::traffic`].
+//! [`KernelRoofline::place`] call can touch — one bytecode section per
+//! [`PlaceForm`] (compute, footprint count, L1, and each deeper
+//! boundary's resident and streaming bounds), plus the per-nest
+//! working-set model's headers and group counts — into one
+//! [`EvalProgram`]. The placement algorithm itself is not here: it is
+//! [`mira_roofline::place_with`], the same loop the tree walk runs, and
+//! the compiled kernel is just its evaluator, running a form's section
+//! when the loop asks for it. So a query executes exactly the
+//! expressions the tree walk would have evaluated, in the same order,
+//! with the same refusals, at a fraction of the cost; the nest regime
+//! rules are likewise the shared [`mira_mem::NestShape::traffic`].
 //!
-//! [`ServeIndex`] holds many compiled kernels and answers
-//! [`Query`] batches — single-threaded into a caller scratch
+//! [`ServeIndex`] registers kernels with two calls:
+//! [`ServeIndex::insert`] admits a new `(func, machine)` pair and
+//! [`ServeIndex::replace`] swaps one in place (the hot-reload path);
+//! [`CompiledKernel::from_analysis`] builds a kernel from an analysis.
+//! It answers [`Query`] batches — single-threaded into a caller scratch
 //! (allocation-free after warm-up), or sharded across worker threads
 //! with [`ServeIndex::run_batch_sharded`], whose results are
-//! bit-identical to the single-threaded path (pinned by this crate's
+//! bit-identical to the single-threaded path (pinned by this module's
 //! tests).
 
 use std::collections::HashMap;
@@ -27,7 +32,8 @@ use mira_mem::{BoundaryTraffic, GroupExpr, NestShape};
 use mira_model::ModelError;
 use mira_probe as probe;
 use mira_roofline::{
-    crossover_bisect, Ceilings, Crossover, KernelRoofline, MemLevel, Placement,
+    crossover_bisect, place_with, CeilingEval, Ceilings, Crossover, KernelRoofline, MemLevel,
+    PlaceForm, Placement,
 };
 use mira_sym::budget::{self, BudgetError};
 use mira_sym::{Bindings, EvalError, Rat};
@@ -43,7 +49,8 @@ pub const MAX_QUERY_PARAMS: usize = 4;
 /// Refusals while admitting a kernel into the index.
 #[derive(Debug)]
 pub enum BuildError {
-    /// The roofline analysis itself refused the function.
+    /// The roofline analysis itself refused the function
+    /// ([`CompiledKernel::from_analysis`]).
     Model(ModelError),
     /// The closed forms do not fit the bytecode (nesting or size), or
     /// the kernel needs more than [`MAX_QUERY_PARAMS`] parameters, or
@@ -54,10 +61,10 @@ pub enum BuildError {
     /// Building the placement expressions tripped the analysis budget.
     Budget(BudgetError),
     /// The index already holds an entry for this `(func, machine)` pair.
-    /// [`ServeIndex::add`] never shadows a live kernel — re-registering
-    /// (what a machine-description hot-reload does) must go through
-    /// [`ServeIndex::replace`], which swaps the compiled model while
-    /// keeping the [`KernelId`] stable.
+    /// [`ServeIndex::insert`] never shadows a live kernel —
+    /// re-registering (what a machine-description hot-reload does) must
+    /// go through [`ServeIndex::replace`], which swaps the compiled model
+    /// while keeping the [`KernelId`] stable.
     Duplicate { func: String, machine: String },
 }
 
@@ -144,13 +151,6 @@ pub struct Query {
     pub values: [i128; MAX_QUERY_PARAMS],
 }
 
-/// The regime sections of one deeper boundary (L2, DRAM).
-#[derive(Clone, Copy, Debug)]
-struct LevelPlan {
-    resident: (SecId, OutId),
-    streaming: (SecId, OutId),
-}
-
 /// The compiled per-nest working-set model: the `Send + Sync` regime
 /// skeleton plus the sections holding its evaluated closed forms.
 #[derive(Clone, Debug)]
@@ -165,6 +165,21 @@ struct NestPlan {
     group_secs: Vec<[(SecId, OutId); 4]>,
 }
 
+/// Slots of [`CompiledKernel::forms`]: compute, footprint, L1, then
+/// one resident and one streaming slot per [`MemLevel`] (the L1 pair
+/// stays empty — the loop only asks for the deeper boundaries).
+const FORM_SLOTS: usize = 9;
+
+fn form_slot(f: PlaceForm) -> usize {
+    match f {
+        PlaceForm::Compute => 0,
+        PlaceForm::FootprintLines => 1,
+        PlaceForm::L1 => 2,
+        PlaceForm::Resident(level) => 3 + level.index(),
+        PlaceForm::Streaming(level) => 6 + level.index(),
+    }
+}
+
 /// One kernel's placement model, compiled for one machine: pure data,
 /// `Send + Sync`, reusable from any worker thread.
 #[derive(Clone, Debug)]
@@ -174,19 +189,24 @@ pub struct CompiledKernel {
     ceilings: Ceilings,
     footprint_known: bool,
     program: EvalProgram,
-    sec_compute: SecId,
-    o_compute: OutId,
-    /// Present iff the footprint is fully known (the only case the
-    /// fits-above test may trust it).
-    sec_fp: Option<(SecId, OutId)>,
-    sec_l1: SecId,
-    o_l1: OutId,
-    /// Indexed `[L2, Dram]`.
-    levels: [LevelPlan; 2],
+    /// The section computing each [`PlaceForm`] and its output, by
+    /// [`form_slot`]. The footprint is compiled only when it is fully
+    /// known (the only case [`place_with`] reads it).
+    forms: [Option<(SecId, OutId)>; FORM_SLOTS],
     nest: Option<NestPlan>,
 }
 
 impl CompiledKernel {
+    /// Analyze `func` and compile it for the analysis' own machine: its
+    /// [`Ceilings::from_arch`], under the description's machine name.
+    /// Serve one kernel on two machines by analyzing it under two
+    /// descriptions.
+    pub fn from_analysis(analysis: &Analysis, func: &str) -> Result<CompiledKernel, BuildError> {
+        let kr = KernelRoofline::analyze(analysis, func).map_err(BuildError::Model)?;
+        let c = Ceilings::from_arch(&analysis.arch);
+        CompiledKernel::build(&kr, &c, &analysis.arch.machine.name)
+    }
+
     /// Compile the placement model of one analyzed roofline for the
     /// given ceilings. Refuses (typed) rather than admitting a kernel
     /// whose compiled answers could diverge from
@@ -220,32 +240,31 @@ impl CompiledKernel {
         machine: &str,
     ) -> Result<CompiledKernel, BuildError> {
         let mut b = ProgramBuilder::new();
-        // mandatory prefix, in place_inner's evaluation order: compute,
-        // footprint count (known-footprint kernels only), L1 — sealed as
-        // separate sections so refusals interleave with the placement
-        // loop exactly where the tree walk raises them
-        let o_compute = b.add_output(&kr.compute_cycles_expr(c))?;
-        let sec_compute = b.seal_section(true);
-        let sec_fp = if kr.footprint_known {
-            let out = b.add_count_output(&kr.footprint_lines)?;
-            Some((b.seal_section(true), out))
-        } else {
-            None
-        };
-        let o_l1 = b.add_output(&kr.l1_cycles_expr(c))?;
-        let sec_l1 = b.seal_section(true);
-        let mut levels = Vec::with_capacity(2);
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let r_out = b.add_output(&kr.resident_cycles_expr(c, level))?;
-            let resident = (b.seal_section(false), r_out);
-            let s_out = b.add_output(&kr.streaming_cycles_expr(c, level))?;
-            let streaming = (b.seal_section(false), s_out);
-            levels.push(LevelPlan {
-                resident,
-                streaming,
-            });
+        // one section per form, in place_with's request order. The
+        // mandatory prefix (compute, footprint, L1) is sealed persistent
+        // so later sections reuse its registers; sealing each form
+        // separately makes refusals interleave with the placement loop
+        // exactly where the tree walk raises them. The regime bounds
+        // are transient: the loop runs any subset of them.
+        let prefix = [
+            Some(PlaceForm::Compute),
+            kr.footprint_known.then_some(PlaceForm::FootprintLines),
+            Some(PlaceForm::L1),
+        ];
+        let regimes = [MemLevel::L2, MemLevel::Dram]
+            .into_iter()
+            .flat_map(|l| [PlaceForm::Resident(l), PlaceForm::Streaming(l)]);
+        let mut forms = [None; FORM_SLOTS];
+        for f in prefix.into_iter().flatten().chain(regimes) {
+            let e = kr.form_expr(c, f);
+            let out = if f == PlaceForm::FootprintLines {
+                b.add_count_output(&e)?
+            } else {
+                b.add_output(&e)?
+            };
+            let persistent = !matches!(f, PlaceForm::Resident(_) | PlaceForm::Streaming(_));
+            forms[form_slot(f)] = Some((b.seal_section(persistent), out));
         }
-        let levels = [levels[0], levels[1]];
         let nest = match &kr.nest_model {
             Some(nm) => {
                 let mut ws_out = Vec::with_capacity(nm.nodes.len());
@@ -304,12 +323,7 @@ impl CompiledKernel {
             ceilings: *c,
             footprint_known: kr.footprint_known,
             program,
-            sec_compute,
-            o_compute,
-            sec_fp,
-            sec_l1,
-            o_l1,
-            levels,
+            forms,
             nest,
         })
     }
@@ -349,50 +363,25 @@ impl CompiledKernel {
 
     /// Compiled placement with positional values (the serving hot path).
     pub fn place_values(&self, values: &[i128], s: &mut Scratch) -> Result<Placement, ServeError> {
-        if !self.program.bind_positional(values, s) {
+        if values.len() != self.n_params() {
             return Err(ServeError::BadArity {
                 expected: self.n_params(),
                 got: values.len(),
             });
         }
-        self.place_prepared(s).map_err(ServeError::Eval)
+        self.place_positional(values, s).map_err(ServeError::Eval)
     }
 
-    /// The placement loop — `place_inner`, with every `eval` replaced by
-    /// a section run.
+    /// Placement with positional values whose arity the caller checked.
+    fn place_positional(&self, values: &[i128], s: &mut Scratch) -> Result<Placement, EvalError> {
+        self.program.bind_positional(values, s);
+        self.place_prepared(s)
+    }
+
+    /// [`place_with`] over the bound scratch.
     fn place_prepared(&self, s: &mut Scratch) -> Result<Placement, EvalError> {
-        let p = &self.program;
-        p.run_section(self.sec_compute, s)?;
-        let compute = p.output(self.o_compute, s).to_f64();
-        let footprint_bytes = match self.sec_fp {
-            Some((sec, out)) => {
-                p.run_section(sec, s)?;
-                p.output(out, s).floor() * self.ceilings.line_bytes as i128
-            }
-            None => 0,
-        };
-        let mut mem = [0.0; 3];
-        p.run_section(self.sec_l1, s)?;
-        mem[0] = p.output(self.o_l1, s).to_f64();
-        for level in [MemLevel::L2, MemLevel::Dram] {
-            let idx = level.index();
-            let cap = self.ceilings.capacity_above[idx].unwrap_or(0) as i128;
-            let lvl = &self.levels[idx - 1];
-            mem[idx] = if self.footprint_known && footprint_bytes <= cap {
-                let (sec, out) = lvl.resident;
-                p.run_section(sec, s)?;
-                p.output(out, s).to_f64()
-            } else if let Some(nest) = &self.nest {
-                let t = self.nest_traffic(nest, cap.max(0) as u64, s)?;
-                t.total_lines() as f64 * self.ceilings.line_bytes as f64
-                    / self.ceilings.bandwidth[idx] as f64
-            } else {
-                let (sec, out) = lvl.streaming;
-                p.run_section(sec, s)?;
-                p.output(out, s).to_f64()
-            };
-        }
-        Ok(Placement::classify(compute, mem))
+        let mut ev = Sections { k: self, s };
+        place_with(self.footprint_known, &self.ceilings, &mut ev)
     }
 
     fn nest_traffic(
@@ -444,6 +433,31 @@ impl CompiledKernel {
     }
 }
 
+/// The compiled evaluator behind [`CompiledKernel::place`]: each form
+/// is its bytecode section, run on request.
+struct Sections<'a> {
+    k: &'a CompiledKernel,
+    s: &'a mut Scratch,
+}
+
+impl CeilingEval for Sections<'_> {
+    fn form(&mut self, f: PlaceForm) -> Result<Rat, EvalError> {
+        // place_with only requests forms build_inner compiled
+        let Some((sec, out)) = self.k.forms[form_slot(f)] else {
+            return Ok(Rat::ZERO);
+        };
+        self.k.program.run_section(sec, self.s)?;
+        Ok(self.k.program.output(out, self.s))
+    }
+
+    fn nest_traffic(&mut self, cap_bytes: u64) -> Result<Option<BoundaryTraffic>, EvalError> {
+        match &self.k.nest {
+            Some(nest) => self.k.nest_traffic(nest, cap_bytes, self.s).map(Some),
+            None => Ok(None),
+        }
+    }
+}
+
 /// Batches smaller than this answer serially even when the caller asks
 /// for workers: at the measured serving rates (~0.5–1.5M queries/sec) a
 /// sub-thousand-query batch finishes in under ~2 ms, where spawning and
@@ -478,76 +492,25 @@ impl ServeIndex {
         ServeIndex::default()
     }
 
-    /// Analyze `func` in `analysis` and admit its compiled placement
-    /// model. The machine name is the analysis' architecture description
-    /// name — serve one kernel on two machines by analyzing it under two
-    /// descriptions. Refuses ([`BuildError::Duplicate`]) if the
-    /// `(func, machine)` pair is already registered.
-    pub fn add(&mut self, analysis: &Analysis, func: &str) -> Result<KernelId, BuildError> {
-        let kr = KernelRoofline::analyze(analysis, func).map_err(BuildError::Model)?;
-        let c = Ceilings::from_arch(&analysis.arch);
-        let machine = analysis.arch.machine.name.clone();
-        let k = CompiledKernel::build(&kr, &c, &machine)?;
-        self.insert(k)
-    }
-
-    /// Admit an already-analyzed roofline under explicit ceilings.
-    /// Refuses duplicates like [`ServeIndex::add`].
-    pub fn add_roofline(
-        &mut self,
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<KernelId, BuildError> {
-        let k = CompiledKernel::build(kr, c, machine)?;
-        self.insert(k)
-    }
-
-    /// Re-analyze `func` under (possibly changed) ceilings and swap the
-    /// compiled model in place — the hot-reload path. The `(func,
-    /// machine)` pair keeps its [`KernelId`], so queries built against
-    /// the old model address the new one; a pair not yet registered is
-    /// added. Compilation happens *before* the swap: on refusal the old
-    /// kernel keeps serving.
-    pub fn replace(&mut self, analysis: &Analysis, func: &str) -> Result<KernelId, BuildError> {
-        let kr = KernelRoofline::analyze(analysis, func).map_err(BuildError::Model)?;
-        let c = Ceilings::from_arch(&analysis.arch);
-        let machine = analysis.arch.machine.name.clone();
-        let k = CompiledKernel::build(&kr, &c, &machine)?;
-        Ok(self.replace_compiled(k))
-    }
-
-    /// [`ServeIndex::replace`] for an already-analyzed roofline.
-    pub fn replace_roofline(
-        &mut self,
-        kr: &KernelRoofline,
-        c: &Ceilings,
-        machine: &str,
-    ) -> Result<KernelId, BuildError> {
-        let k = CompiledKernel::build(kr, c, machine)?;
-        Ok(self.replace_compiled(k))
-    }
-
-    /// Admit a pre-built kernel, refusing duplicates.
+    /// Admit a compiled kernel, refusing ([`BuildError::Duplicate`]) a
+    /// `(func, machine)` pair that is already registered.
     pub fn insert(&mut self, k: CompiledKernel) -> Result<KernelId, BuildError> {
-        let key = (k.func.clone(), k.machine.clone());
-        if self.by_key.contains_key(&key) {
+        if self.find(&k.func, &k.machine).is_some() {
             return Err(BuildError::Duplicate {
-                func: key.0,
-                machine: key.1,
+                func: k.func,
+                machine: k.machine,
             });
         }
-        let slot = self.kernels.len() as u32;
-        self.kernels.push(k);
-        self.by_key.insert(key, slot);
-        Ok(KernelId(slot))
+        Ok(self.replace(k))
     }
 
-    /// Swap in a pre-built kernel (or add it if its `(func, machine)`
-    /// pair is new), bumping the invalidation generation. The fleet
-    /// reload path: build every replacement first, then swap them
-    /// one by one — a failed build never unseats a serving kernel.
-    pub fn replace_compiled(&mut self, k: CompiledKernel) -> KernelId {
+    /// Swap in a compiled kernel — the hot-reload path. The `(func,
+    /// machine)` pair keeps its [`KernelId`], so queries built against
+    /// the old model address the new one, and the invalidation
+    /// generation is bumped; a pair not yet registered is added. Build
+    /// every replacement before swapping: a failed build never unseats a
+    /// serving kernel.
+    pub fn replace(&mut self, k: CompiledKernel) -> KernelId {
         let key = (k.func.clone(), k.machine.clone());
         match self.by_key.get(&key) {
             Some(&slot) => {
@@ -687,8 +650,7 @@ impl ServeIndex {
     /// [`SHARD_MIN_BATCH`] degrade to the serial path, and the count is
     /// capped at the host's available parallelism (see
     /// [`ServeIndex::effective_workers`]), so sharding is never slower
-    /// than not sharding. [`ServeIndex::run_batch_sharded_exact`]
-    /// bypasses the policy for differential testing.
+    /// than not sharding.
     pub fn run_batch_sharded(
         &self,
         qs: &[Query],
@@ -698,19 +660,7 @@ impl ServeIndex {
         self.shard_exec(qs, Self::effective_workers(qs.len(), workers), out);
     }
 
-    /// Answer a batch sharded over *exactly* `workers` scoped threads
-    /// (clamped only to the batch length) — no minimum-batch or
-    /// core-count policy. The differential-testing entry point: answers
-    /// must be bit-identical at any worker count.
-    pub fn run_batch_sharded_exact(
-        &self,
-        qs: &[Query],
-        workers: usize,
-        out: &mut Vec<Result<Placement, ServeError>>,
-    ) {
-        self.shard_exec(qs, workers.clamp(1, qs.len().max(1)), out);
-    }
-
+    /// [`ServeIndex::run_batch_sharded`] on exactly `workers` threads.
     fn shard_exec(
         &self,
         qs: &[Query],
@@ -725,27 +675,37 @@ impl ServeIndex {
             return;
         }
         sp.arg("workers", workers);
-        if workers == 1 {
+        // placeholder immediately overwritten: shard covers every slot
+        // exactly once
+        out.resize(qs.len(), Err(ServeError::UnknownKernel));
+        self.shard(qs, out, workers, |q, s| self.place(q, s));
+    }
+
+    /// Compute `out[i] = work(&items[i])` on `workers` scoped threads,
+    /// one contiguous chunk each (serially when `workers <= 1`), every
+    /// worker with a scratch from the persistent pool.
+    fn shard<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        out: &mut [R],
+        workers: usize,
+        work: impl Fn(&T, &mut Scratch) -> R + Sync,
+    ) {
+        let run = |items: &[T], out: &mut [R]| {
             let mut s = self.pool_take();
-            for q in qs {
-                out.push(self.place(q, &mut s));
+            for (item, slot) in items.iter().zip(out.iter_mut()) {
+                *slot = work(item, &mut s);
             }
             self.pool_put(s);
-            return;
+        };
+        if workers <= 1 {
+            return run(items, out);
         }
-        // placeholder immediately overwritten: the chunk split below
-        // covers every slot exactly once
-        out.resize(qs.len(), Err(ServeError::UnknownKernel));
-        let chunk = qs.len().div_ceil(workers);
+        let chunk = items.len().div_ceil(workers).max(1);
+        let run = &run;
         std::thread::scope(|sc| {
-            for (qc, oc) in qs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                sc.spawn(move || {
-                    let mut s = self.pool_take();
-                    for (q, slot) in qc.iter().zip(oc.iter_mut()) {
-                        *slot = self.place(q, &mut s);
-                    }
-                    self.pool_put(s);
-                });
+            for (ic, oc) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                sc.spawn(move || run(ic, oc));
             }
         });
     }
@@ -805,28 +765,34 @@ impl ServeIndex {
         lo: i128,
         hi: i128,
     ) -> Result<Sweep<'a>, ServeError> {
+        let (kernel, slot, values) = self.sweep_args(id, param, base)?;
+        Ok(Sweep {
+            kernel,
+            slot,
+            values,
+            next: Some(lo),
+            hi,
+            scratch: Scratch::new(),
+        })
+    }
+
+    /// The argument check a sweep and a crossover share: `base` binds
+    /// every parameter of kernel `id` and `param` is one of them.
+    /// Returns the kernel, `param`'s slot and `base` as query values.
+    fn sweep_args(
+        &self,
+        id: KernelId,
+        param: &str,
+        base: &[i128],
+    ) -> Result<(&CompiledKernel, usize, [i128; MAX_QUERY_PARAMS]), ServeError> {
+        let values = self.query(id, base)?.values;
         let k = self.kernel(id)?;
-        if base.len() != k.n_params() {
-            return Err(ServeError::BadArity {
-                expected: k.n_params(),
-                got: base.len(),
-            });
-        }
         let slot = k
             .params()
             .iter()
             .position(|p| p == param)
             .ok_or_else(|| ServeError::UnknownParam(param.to_string()))?;
-        let mut values = [0i128; MAX_QUERY_PARAMS];
-        values[..base.len()].copy_from_slice(base);
-        Ok(Sweep {
-            kernel: k,
-            slot,
-            values,
-            next: lo,
-            hi,
-            scratch: Scratch::new(),
-        })
+        Ok((k, slot, values))
     }
 
     /// Solve the regime crossover of `param` in `[lo, hi]` with the
@@ -848,9 +814,8 @@ impl ServeIndex {
         r
     }
 
-    /// [`ServeIndex::crossover`] into a caller scratch — the reusable
-    /// core the table pass drives with persistent per-worker scratches.
-    pub fn crossover_with(
+    /// [`ServeIndex::crossover`] into a caller scratch.
+    fn crossover_with(
         &self,
         id: KernelId,
         param: &str,
@@ -859,29 +824,11 @@ impl ServeIndex {
         hi: i128,
         s: &mut Scratch,
     ) -> Result<Option<Crossover>, ServeError> {
-        let k = self.kernel(id)?;
-        if base.len() != k.n_params() {
-            return Err(ServeError::BadArity {
-                expected: k.n_params(),
-                got: base.len(),
-            });
-        }
-        let slot = k
-            .params()
-            .iter()
-            .position(|p| p == param)
-            .ok_or_else(|| ServeError::UnknownParam(param.to_string()))?;
-        let mut values = [0i128; MAX_QUERY_PARAMS];
-        values[..base.len()].copy_from_slice(base);
+        let (k, slot, mut values) = self.sweep_args(id, param, base)?;
         let n = k.n_params();
         crossover_bisect(lo, hi, |v| {
             values[slot] = v;
-            match k.place_values(&values[..n], s) {
-                Ok(p) => Ok(p.binding),
-                Err(ServeError::Eval(e)) => Err(e),
-                // arity was validated above; other refusals cannot occur
-                Err(_) => Err(EvalError::Overflow),
-            }
+            Ok(k.place_positional(&values[..n], s)?.binding)
         })
         .map_err(ServeError::Eval)
     }
@@ -909,87 +856,39 @@ impl ServeIndex {
     ) -> Vec<CrossoverRow> {
         let mut sp = probe::span("serve.crossover_table", "serve");
         sp.arg("pairs", self.kernels.len());
-        let ids: Vec<KernelId> = self.kernels().map(|(id, _)| id).collect();
-        let bases: Vec<Vec<i128>> = ids
-            .iter()
-            .map(|&id| self.default_base(id, defaults))
-            .collect();
         // window width → placements per bisection, so the shard policy
         // prices a table row like the batch of queries it really is
         let per_pair = 2 + (128 - (hi - lo).max(1).leading_zeros() as usize);
         let workers =
-            Self::effective_workers(ids.len().saturating_mul(per_pair), workers);
+            Self::effective_workers(self.kernels.len().saturating_mul(per_pair), workers);
         sp.arg("workers", workers);
-        let mut rows: Vec<Option<CrossoverRow>> = vec![None; ids.len()];
-        if workers == 1 {
-            let mut s = self.pool_take();
-            for (i, slot) in rows.iter_mut().enumerate() {
-                *slot = Some(self.table_row(ids[i], param, &bases[i], lo, hi, &mut s));
-            }
-            self.pool_put(s);
-        } else {
-            let chunk = ids.len().div_ceil(workers);
-            std::thread::scope(|sc| {
-                for ((idc, basec), rowc) in ids
-                    .chunks(chunk)
-                    .zip(bases.chunks(chunk))
-                    .zip(rows.chunks_mut(chunk))
-                {
-                    sc.spawn(move || {
-                        let mut s = self.pool_take();
-                        for ((id, base), slot) in
-                            idc.iter().zip(basec.iter()).zip(rowc.iter_mut())
-                        {
-                            *slot =
-                                Some(self.table_row(*id, param, base, lo, hi, &mut s));
-                        }
-                        self.pool_put(s);
-                    });
-                }
-            });
-        }
+        let pairs: Vec<(KernelId, &CompiledKernel)> = self.kernels().collect();
+        let mut rows: Vec<Option<CrossoverRow>> = vec![None; pairs.len()];
+        self.shard(&pairs, &mut rows, workers, |&(id, k), s| {
+            let base = default_base(k, defaults);
+            Some(CrossoverRow {
+                kernel: id,
+                func: k.func.clone(),
+                machine: k.machine.clone(),
+                result: self.crossover_with(id, param, &base, lo, hi, s),
+            })
+        });
         rows.into_iter().flatten().collect()
     }
+}
 
-    /// Base values for a kernel from a `(name, value)` default list;
-    /// parameters not listed bind 1.
-    fn default_base(&self, id: KernelId, defaults: &[(&str, i128)]) -> Vec<i128> {
-        match self.kernel(id) {
-            Ok(k) => k
-                .params()
+/// Base values for a kernel from a `(name, value)` default list;
+/// parameters not listed bind 1.
+fn default_base(k: &CompiledKernel, defaults: &[(&str, i128)]) -> Vec<i128> {
+    k.params()
+        .iter()
+        .map(|p| {
+            defaults
                 .iter()
-                .map(|p| {
-                    defaults
-                        .iter()
-                        .find(|(name, _)| name == p)
-                        .map(|(_, v)| *v)
-                        .unwrap_or(1)
-                })
-                .collect(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    fn table_row(
-        &self,
-        id: KernelId,
-        param: &str,
-        base: &[i128],
-        lo: i128,
-        hi: i128,
-        s: &mut Scratch,
-    ) -> CrossoverRow {
-        let (func, machine) = match self.kernel(id) {
-            Ok(k) => (k.func.clone(), k.machine.clone()),
-            Err(_) => (String::new(), String::new()),
-        };
-        CrossoverRow {
-            kernel: id,
-            func,
-            machine,
-            result: self.crossover_with(id, param, base, lo, hi, s),
-        }
-    }
+                .find(|(name, _)| name == p)
+                .map_or(1, |(_, v)| *v)
+        })
+        .collect()
 }
 
 /// One row of [`ServeIndex::crossover_table`]: where (if anywhere) this
@@ -1011,7 +910,8 @@ pub struct Sweep<'a> {
     kernel: &'a CompiledKernel,
     slot: usize,
     values: [i128; MAX_QUERY_PARAMS],
-    next: i128,
+    /// `None` once the sweep has yielded `hi` (which may be `i128::MAX`).
+    next: Option<i128>,
     hi: i128,
     scratch: Scratch,
 }
@@ -1020,16 +920,83 @@ impl Iterator for Sweep<'_> {
     type Item = (i128, Result<Placement, ServeError>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next > self.hi {
-            return None;
-        }
-        let v = self.next;
-        self.next += 1;
+        let v = self.next.filter(|&v| v <= self.hi)?;
+        self.next = v.checked_add(1);
         self.values[self.slot] = v;
         let n = self.kernel.n_params();
         Some((
             v,
             self.kernel.place_values(&self.values[..n], &mut self.scratch),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machines;
+    use mira_core::{analyze_source, MiraOptions};
+
+    /// An index over triad + DGEMM on both machine descriptions.
+    fn build_index() -> ServeIndex {
+        let mut index = ServeIndex::new();
+        let arches = [
+            mira_arch::ArchDescription::default(),
+            machines::avx2_fma().expect("second machine parses"),
+        ];
+        for arch in &arches {
+            for (func, src) in [
+                ("triad", mira_workloads::memval::TRIAD_SRC),
+                ("dgemm", mira_workloads::dgemm::DGEMM_SRC),
+            ] {
+                let opts = MiraOptions {
+                    arch: arch.clone(),
+                    ..Default::default()
+                };
+                let analysis = analyze_source(src, &opts).expect("workload analyzes");
+                let k = CompiledKernel::from_analysis(&analysis, func).expect("kernel compiles");
+                index.insert(k).expect("kernel admits");
+            }
+        }
+        index
+    }
+
+    #[test]
+    fn batch_and_sharded_answers_are_identical() {
+        let index = build_index();
+        assert_eq!(index.len(), 4);
+        let mut queries: Vec<Query> = Vec::new();
+        for (id, k) in index.kernels() {
+            for n in 1..=200i128 {
+                let vals: Vec<i128> = k
+                    .params()
+                    .iter()
+                    .map(|p| if p == "n" { n } else { 2 })
+                    .collect();
+                queries.push(index.query(id, &vals).expect("query builds"));
+            }
+        }
+        let mut s = Scratch::new();
+        let mut single = Vec::new();
+        index.run_batch(&queries, &mut s, &mut single);
+        assert_eq!(single.len(), queries.len());
+        assert!(single.iter().all(|r| r.is_ok()), "all answers place");
+        // per-query answers agree with the batch
+        for (q, r) in queries.iter().zip(&single) {
+            assert_eq!(&index.place(q, &mut s), r);
+        }
+        // sharded runs, any *exact* worker count, are bit-identical in
+        // order (bypassing the min-batch / core-count policy so real
+        // multi-thread execution is exercised even on small hosts)
+        for workers in [1, 2, 3, 7, 64] {
+            let mut sharded = Vec::new();
+            index.shard_exec(&queries, workers, &mut sharded);
+            assert_eq!(single, sharded, "exact workers={workers}");
+        }
+        // and the policy path answers identically too, whatever worker
+        // count it actually picks
+        let mut sharded = Vec::new();
+        index.run_batch_sharded(&queries, 8, &mut sharded);
+        assert_eq!(single, sharded);
     }
 }

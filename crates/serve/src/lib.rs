@@ -20,11 +20,14 @@
 //!   checked arithmetic step in exactly the tree walk's order, so
 //!   values **and refusals** ([`mira_sym::EvalError`]) are
 //!   bit-identical — including budget-depth refusals, via explicit
-//!   depth ops that cost nothing when no budget scope is active.
-//! * [`index`] — the query service. [`ServeIndex`] holds precompiled
-//!   [`CompiledKernel`]s per kernel × machine (keyed by `(func,
-//!   machine)` — duplicate registration is a typed refusal, swapping a
-//!   live kernel is the explicit [`ServeIndex::replace`]) and answers
+//!   depth ops that do nothing when no budget scope is active.
+//! * [`index`] — the query service. A [`CompiledKernel`] (built by
+//!   [`CompiledKernel::from_analysis`] or [`CompiledKernel::build`]) is
+//!   an evaluator for [`mira_roofline::place_with`], the one placement
+//!   loop both tiers share. [`ServeIndex`] holds them per kernel ×
+//!   machine, registered by two calls: [`ServeIndex::insert`] (a
+//!   duplicate `(func, machine)` pair is a typed refusal) and
+//!   [`ServeIndex::replace`] (swap a live kernel, same id). It answers
 //!   [`Query`] batches single-threaded (allocation-free after warm-up)
 //!   or sharded across scoped worker threads with bit-identical
 //!   results; [`ServeIndex::sweep`] streams parameter sweeps,

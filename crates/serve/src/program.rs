@@ -20,11 +20,12 @@
 //!   [`budget`] scope near [`budget::MAX_DEPTH`]; a `Op::Probe` op is
 //!   emitted at each reuse point carrying the subtree's height, so the
 //!   guarded interpreter refuses exactly where the re-walk would have.
-//! * **Budget ops that cost nothing when no budget is active.** The
+//! * **Budget ops that do nothing when no budget is active.** The
 //!   interpreter is monomorphized over whether a budget scope is live
-//!   (checked once per section run): the hot serving path — no scope —
-//!   skips `Op::Enter`/`Op::Exit`/`Op::Probe` entirely, matching
-//!   the tree walk's own behavior of never refusing outside a scope.
+//!   (checked once per section run): in the hot serving path — no
+//!   scope — `Op::Enter`/`Op::Exit`/`Op::Probe` are empty match arms,
+//!   matching the tree walk's own behavior of never refusing outside a
+//!   scope.
 //!
 //! Programs are built in **sections** (contiguous op ranges) so one
 //! program can carry a whole kernel's placement forms: mandatory
@@ -160,13 +161,6 @@ pub struct EvalProgram {
     ops: Vec<Op>,
     /// Section op ranges, in seal order.
     sections: Vec<(u32, u32)>,
-    /// The same program with every depth op (`Enter`/`Exit`/`Probe`)
-    /// stripped — the stream unguarded runs execute, so the serving hot
-    /// path never even dispatches on ops that are no-ops without a
-    /// budget scope.
-    lean_ops: Vec<Op>,
-    /// Section ranges into `lean_ops`, same seal order.
-    lean_sections: Vec<(u32, u32)>,
     /// Parameter table; binding is by name ([`EvalProgram::bind`]) or by
     /// position in this order ([`EvalProgram::bind_positional`]).
     params: Vec<String>,
@@ -212,17 +206,15 @@ impl EvalProgram {
         }
     }
 
-    /// Bind parameters by position. Returns `false` (binding nothing) on
-    /// arity mismatch.
-    pub fn bind_positional(&self, values: &[i128], s: &mut Scratch) -> bool {
-        if values.len() != self.params.len() {
-            return false;
-        }
+    /// Bind parameters by position: parameter `i` takes `values[i]`.
+    /// Parameters past the end of `values` stay unbound, refusing with
+    /// [`EvalError::MissingParam`] only if an op reads them; values past
+    /// the parameter count are ignored.
+    pub fn bind_positional(&self, values: &[i128], s: &mut Scratch) {
         self.ensure_scratch(s);
-        for (i, v) in values.iter().enumerate() {
-            s.vals[i] = Some(*v);
+        for (i, slot) in s.vals[..self.params.len()].iter_mut().enumerate() {
+            *slot = values.get(i).copied();
         }
-        true
     }
 
     fn ensure_scratch(&self, s: &mut Scratch) {
@@ -234,23 +226,14 @@ impl EvalProgram {
     /// read registers the mandatory prefix computed.
     pub fn run_section(&self, sec: SecId, s: &mut Scratch) -> Result<(), EvalError> {
         self.ensure_scratch(s);
-        // monomorphize on budget-scope liveness once per run: the hot
-        // serving path (no scope) runs the lean stream, which has the
-        // depth ops stripped out entirely
+        let (start, end) = self.sections.get(sec.0 as usize).copied().unwrap_or((0, 0));
+        let ops = self.ops.get(start as usize..end as usize).unwrap_or(&[]);
+        // monomorphize on budget-scope liveness once per run: in the hot
+        // serving path (no scope) the depth ops do nothing
         if budget::active() {
-            let (start, end) = self
-                .sections
-                .get(sec.0 as usize)
-                .copied()
-                .unwrap_or((0, 0));
-            self.exec::<true>(&self.ops, start as usize, end as usize, s)
+            self.exec::<true>(ops, s)
         } else {
-            let (start, end) = self
-                .lean_sections
-                .get(sec.0 as usize)
-                .copied()
-                .unwrap_or((0, 0));
-            self.exec::<false>(&self.lean_ops, start as usize, end as usize, s)
+            self.exec::<false>(ops, s)
         }
     }
 
@@ -261,15 +244,9 @@ impl EvalProgram {
         s.regs.get(reg as usize).copied().unwrap_or(Rat::ZERO)
     }
 
-    fn exec<const GUARDED: bool>(
-        &self,
-        stream: &[Op],
-        start: usize,
-        end: usize,
-        s: &mut Scratch,
-    ) -> Result<(), EvalError> {
+    fn exec<const GUARDED: bool>(&self, ops: &[Op], s: &mut Scratch) -> Result<(), EvalError> {
         let mut entered: u32 = 0;
-        let r = self.exec_loop::<GUARDED>(stream, start, end, s, &mut entered);
+        let r = self.exec_loop::<GUARDED>(ops, s, &mut entered);
         if GUARDED && r.is_err() {
             // the tree walk's RAII descend guards unwind on error; the
             // flat loop rebalances the thread-local depth by hand
@@ -282,13 +259,10 @@ impl EvalProgram {
 
     fn exec_loop<const GUARDED: bool>(
         &self,
-        stream: &[Op],
-        start: usize,
-        end: usize,
+        ops: &[Op],
         s: &mut Scratch,
         entered: &mut u32,
     ) -> Result<(), EvalError> {
-        let ops = stream.get(start..end).unwrap_or(&[]);
         let regs = &mut s.regs;
         let vals = &s.vals;
         for op in ops {
@@ -476,24 +450,9 @@ impl ProgramBuilder {
     }
 
     pub fn finish(self) -> EvalProgram {
-        // derive the unguarded stream: identical ops minus the depth
-        // ops, with section ranges remapped into it
-        let mut lean_ops = Vec::with_capacity(self.ops.len());
-        let mut lean_sections = Vec::with_capacity(self.sections.len());
-        for &(start, end) in &self.sections {
-            let s = lean_ops.len() as u32;
-            for op in &self.ops[start as usize..end as usize] {
-                if !matches!(op, Op::Enter | Op::Exit | Op::Probe { .. }) {
-                    lean_ops.push(*op);
-                }
-            }
-            lean_sections.push((s, lean_ops.len() as u32));
-        }
         EvalProgram {
             ops: self.ops,
             sections: self.sections,
-            lean_ops,
-            lean_sections,
             params: self.params,
             outputs: self.outputs,
             n_regs: self.next_reg,

@@ -310,7 +310,8 @@ fn cached_answers_match_uncached_and_tree_walk() {
     for (func, analysis) in workload_cases() {
         let kr = KernelRoofline::analyze(&analysis, &func).expect("roofline analyzes");
         let c = Ceilings::from_arch(&analysis.arch);
-        let id = index.add(&analysis, &func).expect("kernel admits");
+        let k = CompiledKernel::from_analysis(&analysis, &func).expect("kernel compiles");
+        let id = index.insert(k).expect("kernel admits");
         walkers.push((id, kr, c));
     }
     let mut cache = AnswerCache::new(1 << 12);
@@ -354,7 +355,8 @@ fn crossover_table_matches_tree_walk() {
     for (func, analysis) in workload_cases() {
         let kr = KernelRoofline::analyze(&analysis, &func).expect("roofline analyzes");
         let c = Ceilings::from_arch(&analysis.arch);
-        index.add(&analysis, &func).expect("kernel admits");
+        let k = CompiledKernel::from_analysis(&analysis, &func).expect("kernel compiles");
+        index.insert(k).expect("kernel admits");
         walkers.push((func, analysis.arch.machine.name.clone(), kr, c));
     }
     let defaults: &[(&str, i128)] =

@@ -1,12 +1,13 @@
-//! Service-level contracts of [`ServeIndex`]: batch answers equal
-//! per-query answers, sharded execution is bit-identical to
-//! single-threaded, sweeps stream the same placements, typed refusals
-//! for bad queries, and the compiled crossover reproduces the tree
-//! walk's pinned DGEMM regime exit.
+//! Service-level contracts of [`ServeIndex`]: the sharding policy,
+//! duplicate refusal and replacement, sweeps stream the same
+//! placements, typed refusals for bad queries, and the compiled
+//! crossover reproduces the tree walk's pinned DGEMM regime exit.
+//! (Batch and exact-worker sharded answers are pinned in the index's
+//! own unit tests, which reach the private sharding core.)
 
 use mira_core::{analyze_source, MiraOptions};
 use mira_roofline::{Ceiling, Ceilings, KernelRoofline, MemLevel};
-use mira_serve::{machines, Query, Scratch, ServeError, ServeIndex};
+use mira_serve::{machines, CompiledKernel, Scratch, ServeError, ServeIndex};
 use mira_sym::bindings;
 
 /// An index over triad + DGEMM on both machine descriptions.
@@ -26,7 +27,8 @@ fn build_index() -> ServeIndex {
                 ..Default::default()
             };
             let analysis = analyze_source(src, &opts).expect("workload analyzes");
-            index.add(&analysis, func).expect("kernel admits");
+            let k = CompiledKernel::from_analysis(&analysis, func).expect("kernel compiles");
+            index.insert(k).expect("kernel admits");
         }
     }
     index
@@ -42,41 +44,6 @@ fn base_values(index: &ServeIndex, id: mira_serve::KernelId, n0: i128) -> Vec<i1
         .iter()
         .map(|p| if p == "n" { n0 } else { 1 })
         .collect()
-}
-
-#[test]
-fn batch_and_sharded_answers_are_identical() {
-    let index = build_index();
-    assert_eq!(index.len(), 4);
-    let mut queries: Vec<Query> = Vec::new();
-    for (id, k) in index.kernels() {
-        for n in 1..=200i128 {
-            let vals: Vec<i128> = k.params().iter().map(|p| if p == "n" { n } else { 2 }).collect();
-            queries.push(index.query(id, &vals).expect("query builds"));
-        }
-    }
-    let mut s = Scratch::new();
-    let mut single = Vec::new();
-    index.run_batch(&queries, &mut s, &mut single);
-    assert_eq!(single.len(), queries.len());
-    assert!(single.iter().all(|r| r.is_ok()), "all answers place");
-    // per-query answers agree with the batch
-    for (q, r) in queries.iter().zip(&single) {
-        assert_eq!(&index.place(q, &mut s), r);
-    }
-    // sharded runs, any *exact* worker count, are bit-identical in
-    // order (bypassing the min-batch / core-count policy so real
-    // multi-thread execution is exercised even on small hosts)
-    for workers in [1, 2, 3, 7, 64] {
-        let mut sharded = Vec::new();
-        index.run_batch_sharded_exact(&queries, workers, &mut sharded);
-        assert_eq!(single, sharded, "exact workers={workers}");
-    }
-    // and the policy path answers identically too, whatever worker
-    // count it actually picks
-    let mut sharded = Vec::new();
-    index.run_batch_sharded(&queries, 8, &mut sharded);
-    assert_eq!(single, sharded);
 }
 
 /// The sharding policy: small batches run serial, and worker counts cap
@@ -108,12 +75,15 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     let kr = KernelRoofline::analyze(&analysis, "triad").expect("roofline");
     let c = Ceilings::from_arch(&analysis.arch);
 
+    let build = |c: &Ceilings, machine: &str| {
+        CompiledKernel::build(&kr, c, machine).expect("kernel compiles")
+    };
     let mut index = ServeIndex::new();
-    let id = index.add_roofline(&kr, &c, "m").expect("first add admits");
+    let id = index.insert(build(&c, "m")).expect("first insert admits");
 
     // the old behavior: a second add slipped in and `find` kept serving
     // the first — now it refuses, typed
-    match index.add_roofline(&kr, &c, "m") {
+    match index.insert(build(&c, "m")) {
         Err(mira_serve::BuildError::Duplicate { func, machine }) => {
             assert_eq!((func.as_str(), machine.as_str()), ("triad", "m"));
         }
@@ -131,7 +101,7 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     let mut c2 = c;
     c2.bandwidth[MemLevel::Dram.index()] *= 2;
     let gen0 = index.generation();
-    let id2 = index.replace_roofline(&kr, &c2, "m").expect("replace admits");
+    let id2 = index.replace(build(&c2, "m"));
     assert_eq!(id2, id, "replace keeps the KernelId stable");
     assert_eq!(index.len(), 1);
     assert!(index.generation() > gen0, "replace bumps the swap generation");
@@ -146,7 +116,7 @@ fn duplicate_is_refused_and_replace_serves_new_answers() {
     );
 
     // replace of an unregistered pair is an add
-    let id3 = index.replace_roofline(&kr, &c, "m2").expect("new pair admits");
+    let id3 = index.replace(build(&c, "m2"));
     assert_ne!(id3, id);
     assert_eq!(index.len(), 2);
 }
@@ -166,9 +136,8 @@ fn find_matches_the_linear_scan_on_a_100_kernel_fleet() {
 
     let mut index = ServeIndex::new();
     for i in 0..100 {
-        index
-            .add_roofline(&kr, &c, &format!("machine-{i:03}"))
-            .expect("admits");
+        let k = CompiledKernel::build(&kr, &c, &format!("machine-{i:03}")).expect("compiles");
+        index.insert(k).expect("admits");
     }
     assert_eq!(index.len(), 100);
 
@@ -256,7 +225,8 @@ fn compiled_crossover_matches_tree_walk_pinned_dgemm() {
         .expect("DGEMM leaves the DRAM roof in [2, 64]");
 
     let mut index = ServeIndex::new();
-    let id = index.add(&analysis, "dgemm").expect("dgemm admits");
+    let k = CompiledKernel::from_analysis(&analysis, "dgemm").expect("dgemm compiles");
+    let id = index.insert(k).expect("dgemm admits");
     let base = base_values(&index, id, 2);
     let served = index
         .crossover(id, "n", &base, 2, 64)
@@ -267,4 +237,50 @@ fn compiled_crossover_matches_tree_walk_pinned_dgemm() {
     assert_eq!(served.value, 9, "DGEMM exits the DRAM roof at n = 9");
     assert_eq!(served.from, Ceiling::Mem(MemLevel::Dram));
     assert_eq!(served.to, Ceiling::Mem(MemLevel::L1));
+}
+
+/// An inverted window (`lo > hi`) is empty: the tree-walk bisection,
+/// the compiled bisection and the brute-force sweep all agree there is
+/// no crossover in it, rather than one at `hi`, outside the window.
+#[test]
+fn inverted_crossover_window_is_empty_on_every_solver() {
+    let index = build_index();
+    let id = index.find("dgemm", machines::GENERIC).expect("dgemm");
+    let analysis = analyze_source(mira_workloads::dgemm::DGEMM_SRC, &MiraOptions::default())
+        .expect("dgemm analyzes");
+    let kr = KernelRoofline::analyze(&analysis, "dgemm").expect("roofline");
+    let c = Ceilings::from_arch(&analysis.arch);
+    let b = bindings(&[("reps", 1)]);
+    // the window's ends do bind differently, so a one-sided guess
+    // would invent a crossover
+    assert!(kr.crossover(&c, "n", &b, 2, 64).expect("evaluates").is_some());
+    let base = base_values(&index, id, 2);
+    assert_eq!(kr.crossover(&c, "n", &b, 64, 2), Ok(None));
+    assert_eq!(kr.crossover_sweep(&c, "n", &b, 64, 2), Ok(None));
+    assert_eq!(index.crossover(id, "n", &base, 64, 2), Ok(None));
+}
+
+/// A sweep whose window ends at `i128::MAX` yields that value and
+/// stops instead of stepping past it (a debug-build overflow panic, or
+/// a release-build wrap to `i128::MIN` and refusals forever). Both
+/// answers are typed overflow refusals.
+#[test]
+fn sweep_ending_at_i128_max_stops() {
+    let index = build_index();
+    let id = index.find("dgemm", machines::GENERIC).expect("dgemm");
+    let base = base_values(&index, id, 2);
+    let answers: Vec<_> = index
+        .sweep(id, "n", &base, i128::MAX - 1, i128::MAX)
+        .expect("sweep builds")
+        .take(3)
+        .collect();
+    assert_eq!(answers.len(), 2);
+    assert_eq!(answers[0].0, i128::MAX - 1);
+    assert_eq!(answers[1].0, i128::MAX);
+    for (n, r) in &answers {
+        assert!(
+            matches!(r, Err(ServeError::Eval(mira_sym::EvalError::Overflow))),
+            "n={n}: {r:?}"
+        );
+    }
 }

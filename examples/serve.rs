@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example serve`
 
 use mira_core::{analyze_source, MiraOptions};
-use mira_serve::{machines, ServeIndex};
+use mira_serve::{machines, CompiledKernel, ServeIndex};
 
 fn main() {
     // one index, one kernel, two machines: analyze DGEMM under each
@@ -24,7 +24,8 @@ fn main() {
         };
         let analysis =
             analyze_source(mira_workloads::dgemm::DGEMM_SRC, &opts).expect("dgemm analyzes");
-        index.add(&analysis, "dgemm").expect("dgemm admits");
+        let k = CompiledKernel::from_analysis(&analysis, "dgemm").expect("dgemm compiles");
+        index.insert(k).expect("dgemm admits");
     }
 
     for arch in &arches {
